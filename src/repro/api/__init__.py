@@ -23,10 +23,11 @@ driving the :mod:`repro.recovery` runtimes — with the synchronized scheme's
 closed forms served by ``analytic`` for cross-checking.
 
 ``method="auto"`` (the default) selects an engine from the system kind, the
-state-space size and the requested metrics; sweep axes fan out through the
-experiment runner with parallelism, store caching and resume for free; and
-:meth:`StudySpec.canonical_key` *is* the result-store cell key, so specs can
-predict their own cache address.  The CLI face is
+state-space size and the requested metrics; sweep axes expand into cells
+that one executor (:mod:`repro.api.executor`) fans out through the execution
+backend, with store caching and resume; and :meth:`StudySpec.canonical_key`
+*is* the result-store cell key, so specs can predict their own cache
+address.  The CLI face is
 ``python -m repro eval spec.json``.
 """
 

@@ -8,11 +8,10 @@ grids, and (for the stochastic engines) sample counts and standard errors.
 Evaluations round-trip exactly through
 :class:`~repro.experiments.common.ExperimentResult`
 (:meth:`Evaluation.to_experiment_result` /
-:meth:`Evaluation.from_experiment_result`), which is what lets the facade run
-through the :class:`~repro.runner.runner.ExperimentRunner` and the
-:class:`~repro.report.store.ResultStore` unchanged: a stored facade run is an
-ordinary stored experiment, and reloading it reconstructs the evaluation
-bit for bit.
+:meth:`Evaluation.from_experiment_result`), which is what lets the facade
+use the :class:`~repro.report.store.ResultStore` unchanged: a stored facade
+cell is an ordinary stored experiment, and reloading it reconstructs the
+evaluation bit for bit.
 """
 
 from __future__ import annotations

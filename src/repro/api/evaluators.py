@@ -17,11 +17,12 @@ lives in :mod:`repro.api.strategy`):
     observable measured on the discrete-event kernel with named random
     streams; an independent stochastic cross-check of ``mc``.
 
-The stochastic engines split their budget into the runner's fixed-size
-shards, each with a driver-spawned seed (:meth:`Evaluator.tasks`), so
-evaluations are bit-identical across serial and process-pool backends — and
-:func:`repro.api.facade.evaluate_in_context` can flatten the shards of many
-cells into one backend fan-out.
+Every engine describes a cell as picklable work items (:meth:`Evaluator.
+tasks`) plus a reduction (:meth:`Evaluator.assemble`); the one cell executor
+(:mod:`repro.api.executor`) runs them.  The stochastic engines split their
+budget into the runner's fixed-size shards, each with a seed spawned before
+dispatch, so evaluations are bit-identical across serial and process-pool
+backends; a deterministic engine's cell is a single :class:`ExactTask`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,19 @@ class SampleTask:
     engine: str
 
 
+@dataclass(frozen=True)
+class ExactTask:
+    """The one work item of a deterministic engine's cell."""
+
+    spec: StudySpec
+    method: str
+
+
+def evaluate_exact(task: ExactTask) -> Evaluation:
+    """Worker entry point of the deterministic engines."""
+    return get_evaluator(task.method).evaluate(task.spec)
+
+
 def sample_shard(task: SampleTask) -> SimulatedIntervals:
     """Worker entry point shared by the ``mc`` and ``des`` engines."""
     system = SystemSpec.from_dict(task.system)
@@ -116,11 +130,12 @@ def sample_shard(task: SampleTask) -> SimulatedIntervals:
 class Evaluator:
     """Protocol-with-defaults every evaluation engine implements.
 
-    Deterministic engines override :meth:`evaluate` directly; stochastic
-    engines implement the :meth:`tasks` / :meth:`assemble` pair (and point
-    :attr:`worker` at their picklable task function) so the facade can fan
-    the work items of many cells through one backend ``map`` while
-    :meth:`evaluate` remains the single-cell convenience composition.
+    An engine is a :meth:`tasks` / :meth:`assemble` pair plus the picklable
+    :attr:`worker` the executor maps over the tasks.  Deterministic engines
+    override :meth:`evaluate` with the computation itself and keep the
+    defaults here: one :class:`ExactTask` per cell, which the worker answers
+    by calling :meth:`evaluate`.  Stochastic engines override the pair and
+    keep :meth:`evaluate`, which runs one cell through the executor.
     """
 
     #: Registry key and the ``method=`` name users write.
@@ -131,14 +146,14 @@ class Evaluator:
     stochastic: bool = False
 
     #: Module-level function the backend maps over :meth:`tasks` output.
-    worker = staticmethod(sample_shard)
+    worker = staticmethod(evaluate_exact)
 
     def validate(self, spec: StudySpec) -> None:
         """Reject *spec* early when this engine cannot serve it (no-op here)."""
 
     def tasks(self, spec: StudySpec, ctx: ExecutionContext) -> List[object]:
-        """Picklable work items for *spec* (empty for deterministic engines)."""
-        return []
+        """Picklable work items for *spec*."""
+        return [ExactTask(spec=spec, method=self.name)]
 
     def cell_tasks(self, specs: Sequence[StudySpec], ctx: ExecutionContext
                    ) -> Tuple[List[object], List[int]]:
@@ -159,26 +174,18 @@ class Evaluator:
     def assemble(self, spec: StudySpec,
                  outputs: Sequence[object]) -> Evaluation:
         """Combine the mapped task outputs into the evaluation."""
-        raise NotImplementedError
+        (evaluation,) = outputs
+        return evaluation
 
     def evaluate(self, spec: StudySpec,
                  ctx: Optional[ExecutionContext] = None) -> Evaluation:
-        """Evaluate one cell (tasks through the context's backend).
+        """Evaluate one cell through the executor.
 
-        Without a context one is built from the spec's own seed/reps, so
-        direct engine use honours the declared seed policy exactly like the
-        facade path does.
+        Without a context the cell is seeded from the spec's own seed/reps,
+        exactly like a cell of :func:`repro.evaluate`.
         """
-        if ctx is None:
-            ctx = ExecutionContext(seed=spec.seed, reps=spec.reps)
-        # The phase markers feed `python -m repro eval --timing`; they are
-        # no-ops (a shared null context) unless a collector is active.
-        with _phase("assembly"):
-            tasks = self.tasks(spec, ctx)
-        with _phase("sim"):
-            outputs = ctx.map(self.worker, tasks)
-        with _phase("reduce"):
-            return self.assemble(spec, outputs)
+        from repro.api.executor import BatchCell, execute_cell
+        return execute_cell(BatchCell(spec=spec, method=self.name, ctx=ctx))
 
 
 class AnalyticEvaluator(Evaluator):
@@ -203,10 +210,6 @@ class AnalyticEvaluator(Evaluator):
                     f"{spec.system.failure_law!r} through a phase-type "
                     f"approximation that cannot compute {unservable}; "
                     "estimate them with method='mc' or 'des'")
-
-    def assemble(self, spec: StudySpec,
-                 outputs: Sequence[object]) -> Evaluation:
-        return self.evaluate(spec)
 
     def evaluate(self, spec: StudySpec,
                  ctx: Optional[ExecutionContext] = None) -> Evaluation:
@@ -323,6 +326,7 @@ class _StochasticEvaluator(Evaluator):
     """Shared shard/assemble machinery of the ``mc`` and ``des`` engines."""
 
     stochastic = True
+    worker = staticmethod(sample_shard)
 
     #: ``Evaluation.backend`` label; subclasses override.
     backend_label = "stochastic"

@@ -1,39 +1,40 @@
 """The one front door: ``repro.evaluate(spec, method=...)``.
 
-The facade composes the pieces the rest of the package already provides —
-the declarative :class:`~repro.api.spec.StudySpec`, the engine registry of
-:mod:`repro.api.evaluators`, and the
-:class:`~repro.runner.runner.ExperimentRunner` — into a single entry point:
+The facade composes the declarative :class:`~repro.api.spec.StudySpec`, the
+engine registry of :mod:`repro.api.evaluators` and the cell executor of
+:mod:`repro.api.executor` into a single entry point:
 
 * ``method="auto"`` resolves to an engine by state-space size and requested
   metrics (:func:`~repro.api.evaluators.resolve_method`);
-* every cell runs as the internal registered ``evaluate`` scenario, so an
-  attached :class:`~repro.report.store.ResultStore` gives caching and resume
-  for free, and the cell's store key is exactly
-  :meth:`StudySpec.canonical_key`;
-* sweep axes expand into grid cells; each cell's stochastic shards fan out
-  through the execution backend, so ``backend="process"`` parallelises a
-  sweep end to end with bit-identical results.
+* sweep axes expand into grid cells, and the cells the attached
+  :class:`~repro.report.store.ResultStore` does not already hold go to the
+  executor in **one** call — one backend ``map`` per engine worker, so
+  ``backend="process"`` parallelises a sweep end to end with bit-identical
+  results;
+* every computed cell is written through under
+  :meth:`StudySpec.store_identity`, whose key is exactly
+  :meth:`StudySpec.canonical_key`, so interrupted sweeps resume.
 
 Scenario code that already *has* an :class:`ExecutionContext` (it is being
-run by the runner) uses :func:`evaluate_in_context` instead, which flattens
-the shards of many cells into one backend ``map`` — the same task layout the
-pre-facade experiment modules used, which is what keeps their stored results
-bit-identical across the migration.
+run by the runner) uses :func:`evaluate_in_context`: the same executor, with
+every cell planned in the shared context, so the cells continue its seed
+stream in order.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.evaluation import Evaluation
 from repro.api.evaluators import get_evaluator, resolve_method
-from repro.bench import phase as _phase
+from repro.api.executor import BatchCell, execute_cell, execute_cells
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
+from repro.bench import phase as _phase
 from repro.experiments.common import ExperimentResult
-from repro.runner import ExecutionContext, ExperimentRunner, scenario
+from repro.report.store import store_key
+from repro.runner import ExecutionContext, scenario
+from repro.runner.backends import make_backend
 
 __all__ = ["CellResult", "StudyResult", "evaluate", "evaluate_in_context",
            "evaluate_record"]
@@ -48,13 +49,14 @@ __all__ = ["CellResult", "StudyResult", "evaluate", "evaluate_in_context",
 def evaluate_scenario(ctx: ExecutionContext, *,
                       spec: Optional[Dict[str, object]] = None,
                       method: str = "analytic") -> ExperimentResult:
-    """The facade's internal scenario: one study cell, one engine.
+    """One study cell, one engine, run by the runner.
 
-    ``spec`` is a :meth:`StudySpec.to_dict` payload; ``method`` must already
-    be resolved (the facade never hands ``"auto"`` down).  Registered like
-    any other scenario so the runner's store hook addresses facade cells
-    exactly like hand-written experiments, but marked *internal* so generic
-    enumeration (``list``, ``report --all``) never runs it parameterless.
+    ``spec`` is a :meth:`StudySpec.to_dict` payload without seed/reps (the
+    runner's context carries them); ``method`` must already be resolved.
+    The scenario names the store identity of every facade cell
+    (:meth:`StudySpec.store_identity`), so it stays registered, but marked
+    *internal* so generic enumeration (``list``, ``report --all``) never runs
+    it parameterless.
     """
     if spec is None:
         raise ValueError(
@@ -65,15 +67,14 @@ def evaluate_scenario(ctx: ExecutionContext, *,
     if carried:
         # The runner's seed/reps slots are authoritative here (that is how
         # the cell is keyed), and a sweep would be silently collapsed to
-        # its base cell — the facade expands sweeps *before* dispatching
-        # cells to this scenario.
+        # its base cell.
         raise ValueError(
             f"the 'evaluate' scenario payload must not embed {carried}; "
             "seed/reps are runner-level, and sweeps are expanded by "
             "repro.evaluate / `python -m repro eval` before dispatch")
     study = StudySpec.from_dict(spec)
-    evaluation = get_evaluator(method).evaluate(study, ctx)
-    return evaluation.to_experiment_result()
+    return execute_cell(BatchCell(spec=study, method=method, ctx=ctx)
+                        ).to_experiment_result()
 
 
 # --------------------------------------------------------------------- results
@@ -188,172 +189,112 @@ def evaluate_record(spec: Union[StudySpec, Mapping[str, object]],
     """Like :func:`evaluate`, but always return the full :class:`StudyResult`
     — one :class:`CellResult` per cell with cache status and store key.
 
-    Parallelism covers both engine families: stochastic cells fan their
-    fixed-size shards through the backend (inside the runner), and
-    deterministic cells that are not served from the store are batched into
-    one backend ``map`` — so an analytic sweep with ``backend="process"``
-    computes its grid cells concurrently.
+    Cells are deduplicated by :meth:`StudySpec.canonical_key` (e.g. a reps
+    axis, which deterministic results ignore, collapses to one cell), and
+    every cell the store does not hold is executed in one executor call.
+    Seedless stochastic cells are fresh-entropy experiments: they bypass
+    the store and the deduplication.  Every computed cell is written
+    through before the first failed cell's exception is re-raised, so a
+    re-run resumes from the store.
     """
     if not isinstance(spec, StudySpec):
         spec = StudySpec.from_dict(spec)
     if isinstance(store, str):
         from repro.report.store import ResultStore
         store = ResultStore(store)
-    import json as _json
-
-    runner = ExperimentRunner(backend, workers=workers, store=store)
-    cells: List[Optional[CellResult]] = []
-    # Deterministic cache misses, deduplicated: sweep cells whose identity
-    # coincides (e.g. a reps axis, which deterministic results ignore) are
-    # computed once and fanned back to every requesting cell.
-    pending_payloads: List[_DeterministicCell] = []
-    pending_targets: List[List[tuple]] = []      # [(cell index, cell spec)]
-    pending_by_identity: Dict[object, int] = {}
-
-    def decode(result, cell: StudySpec) -> Evaluation:
-        """Rebuild a stored/runner evaluation, restamping the cell's stated
-        tolerance: rel_tol is a spec-side annotation excluded from the cell
-        identity, so the *requesting* spec's value — not whatever the stored
-        payload happened to carry — is what the caller declared."""
-        return _dc_replace(Evaluation.from_experiment_result(result),
-                           rel_tol=cell.rel_tol)
-
-    for index, cell in enumerate(spec.cells()):
+    backend = make_backend(backend, workers)
+    cells = list(spec.cells())
+    results: List[Optional[CellResult]] = [None] * len(cells)
+    pending: List[BatchCell] = []
+    identities: List[Optional[tuple]] = []       # per pending cell
+    targets: List[List[int]] = []                # cell indices per pending
+    by_key: Dict[str, int] = {}
+    # A lone cell without a store has no key to share with anything.
+    keyed = store is not None or len(cells) > 1
+    for index, cell in enumerate(cells):
         resolved = resolve_method(cell, method)
-        evaluator = get_evaluator(resolved)
-        if evaluator.stochastic:
-            # The runner owns stochastic cells end to end: shard fan-out,
-            # store caching, and the seed=None fresh-entropy bypass.
-            record = runner.run_record(
-                EVALUATE_SCENARIO_NAME,
-                seed=cell.seed,
-                reps=cell.effective_reps(),
-                force=force,
-                **cell.cell_params(resolved))
-            cells.append(CellResult(
-                spec=cell,
-                evaluation=decode(record.result, cell),
-                method=resolved,
-                cached=record.cached,
-                key=record.key,
-                elapsed_seconds=record.elapsed_seconds))
-            continue
-        # Deterministic cells: results do not depend on the seed, so even
-        # seedless cells cache — keyed under the canonical (seed, reps=None)
-        # identity, which is exactly StudySpec.canonical_key.  Cache misses
-        # are deferred and batched into one backend map below.
-        key = None
-        if store is not None:
-            key = store.key(EVALUATE_SCENARIO_NAME,
-                            cell.cell_params(resolved), cell.seed, None)
-            with _phase("store"):
-                hit = None if force else store.get(key,
-                                                   EVALUATE_SCENARIO_NAME)
-            if hit is not None:
-                cells.append(CellResult(
-                    spec=cell,
-                    evaluation=decode(hit.result, cell),
-                    method=resolved, cached=True, key=key,
-                    elapsed_seconds=hit.elapsed_seconds))
+        identity = key = None
+        if keyed and (cell.seed is not None
+                      or not get_evaluator(resolved).stochastic):
+            identity = cell.store_identity(resolved)
+            key = store_key(*identity)
+            if key in by_key:
+                targets[by_key[key]].append(index)
                 continue
-        cells.append(None)
-        identity = (_json.dumps(cell.cell_params(resolved), sort_keys=True),
-                    cell.seed)
-        position = pending_by_identity.get(identity)
-        if position is None:
-            pending_by_identity[identity] = len(pending_payloads)
-            pending_payloads.append(_DeterministicCell(spec=cell,
-                                                       method=resolved))
-            pending_targets.append([(index, cell)])
-        else:
-            pending_targets[position].append((index, cell))
-
-    if pending_payloads:
-        outputs = runner.backend.map(_evaluate_deterministic_cell_timed,
-                                     pending_payloads)
-        for payload, targets, (evaluation, elapsed) in zip(
-                pending_payloads, pending_targets, outputs):
-            key = None
-            if store is not None:
-                first = payload.spec
-                key = store.key(EVALUATE_SCENARIO_NAME,
-                                first.cell_params(payload.method),
-                                first.seed, None)
+            if store is not None and not force:
                 with _phase("store"):
-                    store.put(EVALUATE_SCENARIO_NAME,
-                              first.cell_params(payload.method), first.seed,
-                              None, backend=runner.backend.describe(),
-                              elapsed_seconds=elapsed,
-                              result=evaluation.to_experiment_result())
-            for index, cell in targets:
-                cells[index] = CellResult(
-                    spec=cell,
-                    evaluation=_dc_replace(evaluation,
-                                           rel_tol=cell.rel_tol),
-                    method=payload.method,
-                    cached=False, key=key, elapsed_seconds=elapsed)
-    return StudyResult(spec=spec, cells=[cell for cell in cells
-                                         if cell is not None])
+                    hit = store.get(key, EVALUATE_SCENARIO_NAME)
+                if hit is not None:
+                    results[index] = CellResult(
+                        spec=cell, evaluation=_restamp(
+                            Evaluation.from_experiment_result(hit.result),
+                            cell),
+                        method=resolved, cached=True, key=key,
+                        elapsed_seconds=hit.elapsed_seconds)
+                    continue
+            by_key[key] = len(pending)
+        pending.append(BatchCell(spec=cell, method=resolved))
+        identities.append(identity if store is not None else None)
+        targets.append([index])
+
+    outcomes, _dispatches = execute_cells(backend, pending)
+    failure = None
+    for batch_cell, identity, indices, outcome in zip(
+            pending, identities, targets, outcomes):
+        if isinstance(outcome, Exception):
+            failure = outcome if failure is None else failure
+            continue
+        key = None
+        if identity is not None:
+            with _phase("store"):
+                key = store.put(*identity, backend=backend.describe(),
+                                elapsed_seconds=outcome.elapsed_seconds,
+                                result=outcome.evaluation
+                                .to_experiment_result()).key
+        for index in indices:
+            results[index] = CellResult(
+                spec=cells[index],
+                evaluation=_restamp(outcome.evaluation, cells[index]),
+                method=batch_cell.method, cached=False, key=key,
+                elapsed_seconds=outcome.elapsed_seconds)
+    if failure is not None:
+        raise failure
+    return StudyResult(spec=spec, cells=results)
+
+
+def _restamp(evaluation: Evaluation, cell: StudySpec) -> Evaluation:
+    """*evaluation* under the requesting cell's stated tolerance: rel_tol is
+    a spec-side annotation excluded from the cell identity, so what the
+    caller declared wins over what a shared or stored result carries."""
+    if evaluation.rel_tol == cell.rel_tol:
+        return evaluation
+    return _dc_replace(evaluation, rel_tol=cell.rel_tol)
 
 
 # ----------------------------------------------------------------- in-context
-@dataclass(frozen=True)
-class _DeterministicCell:
-    """Picklable payload for deterministic engines fanned through a backend.
-
-    Specs and evaluations are plain frozen dataclasses, so they cross the
-    process boundary directly — no dict round trip on the hot path.
-    """
-
-    spec: StudySpec
-    method: str
-
-
-def _evaluate_deterministic_cell(cell: _DeterministicCell) -> Evaluation:
-    """Worker entry point: evaluate one deterministic cell."""
-    return get_evaluator(cell.method).evaluate(cell.spec)
-
-
-def _evaluate_deterministic_cell_timed(cell: _DeterministicCell):
-    """Worker entry point returning ``(Evaluation, elapsed seconds)``.
-
-    Timing happens in the worker so store provenance records the cell's own
-    compute time, not the batch's.
-    """
-    start = time.perf_counter()
-    evaluation = _evaluate_deterministic_cell(cell)
-    return evaluation, time.perf_counter() - start
-
-
 def evaluate_in_context(ctx: ExecutionContext,
                         specs: Iterable[StudySpec],
                         method: str = "analytic") -> List[Evaluation]:
     """Evaluate many cells inside an already-running scenario.
 
-    All cells must resolve to the *same* engine.  Deterministic cells are
-    fanned out one-per-task; stochastic cells contribute their work items —
-    laid out by the engine's :meth:`~repro.api.evaluators.Evaluator.
-    cell_tasks` — to a single flat backend ``map``.  For ``mc``/``des`` that
-    is the fixed-size shard stream of
-    :func:`repro.experiments.sampling.sample_interval_cases` (seeds spawned
-    per cell, in cell order); the ``strategy`` engine instead shares one
-    replication seed block across the cells (common random numbers), the
-    pre-facade strategy-comparison layout.
+    All cells must resolve to the *same* engine; they are planned together
+    in *ctx* (:meth:`~repro.api.evaluators.Evaluator.cell_tasks`) and run in
+    one backend ``map``.  For ``mc``/``des`` that is the fixed-size shard
+    stream of :func:`repro.experiments.sampling.sample_interval_cases`
+    (seeds spawned per cell, in cell order); the ``strategy`` engine instead
+    shares one replication seed block across the cells (common random
+    numbers).
     """
     specs = list(specs)
-    if not specs:
-        return []
     names = {resolve_method(s, method) for s in specs}
-    if len(names) != 1:
+    if len(names) > 1:
         raise ValueError(f"evaluate_in_context needs one engine per call, "
                          f"got {sorted(names)}")
-    resolved = names.pop()
-    evaluator = get_evaluator(resolved)
-    if not evaluator.stochastic:
-        payloads = [_DeterministicCell(spec=s, method=resolved)
-                    for s in specs]
-        return ctx.map(_evaluate_deterministic_cell, payloads)
-    tasks, bounds = evaluator.cell_tasks(specs, ctx)
-    outputs = ctx.map(evaluator.worker, tasks)
-    return [evaluator.assemble(s, outputs[lo:hi])
-            for s, lo, hi in zip(specs, bounds, bounds[1:])]
+    resolved = names.pop() if names else method
+    outcomes, _dispatches = execute_cells(
+        ctx.backend, [BatchCell(spec=s, method=resolved, ctx=ctx)
+                      for s in specs])
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [outcome.evaluation for outcome in outcomes]

@@ -6,7 +6,7 @@ seed policy, and optional sweep axes.  It is frozen, canonically serializable
 (:meth:`StudySpec.to_dict` / :meth:`StudySpec.from_dict` round-trip exactly),
 and content-addressable: :meth:`StudySpec.canonical_key` is *the same* SHA-256
 cell key the :class:`~repro.report.store.ResultStore` computes for the
-facade's internal ``evaluate`` scenario, so a spec evaluated through
+cell's :meth:`StudySpec.store_identity`, so a spec evaluated through
 :func:`repro.api.evaluate` with a store attached can predict its own cache
 address — and cache hits survive any detour through JSON.
 
@@ -669,13 +669,10 @@ class StudySpec:
 
     # ------------------------------------------------------------------ identity
     def cell_params(self, method: str) -> Dict[str, object]:
-        """The scenario-parameter dict of this cell's runner/store identity.
+        """The scenario-parameter dict of this cell's store identity.
 
-        This is exactly what :func:`repro.api.evaluate` hands to
-        :meth:`ExperimentRunner.run_record` for the internal ``evaluate``
-        scenario.  ``seed`` and ``reps`` are carried *inside* the spec (they
-        are part of its serialised form), so the runner-level seed/reps slots
-        of the store key stay at the spec's own values; ``rel_tol`` is a
+        ``seed`` and ``reps`` are stripped: they sit in the store key's own
+        seed/reps slots (see :meth:`store_identity`); ``rel_tol`` is a
         documentation annotation that affects no computed number, so it is
         excluded from the identity — retightening a tolerance must not
         invalidate a numerically identical cache.  Execution-tuning options
@@ -699,20 +696,30 @@ class StudySpec:
                 del spec_dict["options"]
         return {"spec": spec_dict, "method": str(method)}
 
+    def store_identity(self, method: str
+                       ) -> Tuple[str, Dict[str, object], Optional[int],
+                                  Optional[int]]:
+        """``(scenario, params, seed, reps)`` of this cell under the resolved
+        engine *method* — the arguments of ``store.key`` and ``store.put``.
+
+        ``reps`` is the effective budget for a stochastic engine and ``None``
+        for a deterministic one, whose results do not depend on it.
+        """
+        from repro.api.evaluators import get_evaluator
+        reps = self.effective_reps() if get_evaluator(method).stochastic \
+            else None
+        return (EVALUATE_SCENARIO_NAME, self.cell_params(method), self.seed,
+                reps)
+
     def canonical_key(self, method: str = "auto") -> str:
         """The :class:`~repro.report.store.ResultStore` cell key of this spec.
 
         Resolves ``method="auto"`` first (so auto-selected and explicitly
         named evaluations of the same engine share one cache cell), then
-        hashes the identical identity the store hashes when the facade runs
-        with a store attached.
+        hashes :meth:`store_identity`.
         """
-        from repro.api.evaluators import get_evaluator, resolve_method
-        resolved = resolve_method(self, method)
-        reps = self.effective_reps() if get_evaluator(resolved).stochastic \
-            else None
-        return store_key(EVALUATE_SCENARIO_NAME, self.cell_params(resolved),
-                         self.seed, reps)
+        from repro.api.evaluators import resolve_method
+        return store_key(*self.store_identity(resolve_method(self, method)))
 
     def __hash__(self) -> int:
         # Mapping fields (options/sweep) defeat the dataclass-generated

@@ -1,17 +1,13 @@
-"""Fault injection and error-propagation analysis.
+"""Error-propagation analysis.
 
 The runtimes in :mod:`repro.recovery` inject faults online (through
-:class:`~repro.workloads.spec.FaultModel`); this package provides the *offline*
-counterparts used for analysis and testing:
-
-* :class:`~repro.faults.injector.FaultInjector` — generate reproducible fault
-  timelines (which process is hit when) for a given workload;
-* :mod:`~repro.faults.propagation` — given a history and an error origin, compute
-  which processes are contaminated at any instant and which checkpoints are
-  contaminated (the key question for pseudo recovery points, Section 4).
+:class:`~repro.workloads.spec.FaultModel`); :mod:`~repro.faults.propagation`
+is the *offline* counterpart used for analysis and testing: given a history
+and an error origin, compute which processes are contaminated at any instant
+and which checkpoints are contaminated (the key question for pseudo recovery
+points, Section 4).  It also expands the cascades the runtimes inject.
 """
 
-from repro.faults.injector import FaultEvent, FaultInjector
 from repro.faults.propagation import (
     ContaminationAnalysis,
     contaminated_checkpoints,
@@ -19,8 +15,6 @@ from repro.faults.propagation import (
 )
 
 __all__ = [
-    "FaultEvent",
-    "FaultInjector",
     "ContaminationAnalysis",
     "contaminated_checkpoints",
     "contamination_at",

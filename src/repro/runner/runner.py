@@ -218,9 +218,6 @@ class ExperimentRunner:
         against the scenario's ``default_reps`` before keying, and
         fresh-entropy runs (effective seed ``None``) bypass the store in both
         directions — they are not reproducible, so they are never cached.
-        (Deterministic seedless *facade* cells are the one exception to that
-        policy; :func:`repro.api.facade.evaluate_record` caches them itself,
-        keyed identically to :meth:`StudySpec.canonical_key`.)
         """
         spec = self._resolve(name_or_spec)
         eff_seed = self.seed if seed is None else seed

@@ -21,8 +21,9 @@ path serves is bit-identical to a direct :func:`repro.api.evaluate` call.
 
 Seedless stochastic cells are the deliberate exception: two fresh-entropy
 runs are different experiments, so they skip the LRU, the store and the
-dedup registry (the same policy the runner applies) — but they still ride
-the admission batch, so even an uncacheable burst costs one pool dispatch.
+dedup registry (the same policy as :func:`repro.evaluate`) — but they still
+ride the admission batch, so even an uncacheable burst costs one pool
+dispatch.
 
 Threading model: all service state (LRU, flight registry, batcher,
 counters) is confined to the event-loop thread.  Blocking work — store
@@ -42,8 +43,7 @@ from repro.api.evaluators import get_evaluator, resolve_method
 from repro.api.spec import EVALUATE_SCENARIO_NAME, StudySpec
 from repro.report.sharded import ShardedResultStore
 from repro.runner.backends import ExecutionBackend, make_backend
-from repro.service.batching import (AdmissionBatcher, BatchCell,
-                                    ExecutedCell, execute_cells)
+from repro.service.batching import AdmissionBatcher, BatchCell, execute_cells
 from repro.service.cache import CachedResult, ResultLRU
 from repro.service.dedup import SingleFlight
 
@@ -218,21 +218,19 @@ class EvaluationService:
     async def _flush(self, batch: List[_Pending]) -> None:
         """Execute one admitted batch off-loop and resolve its futures."""
         try:
-            outcomes, dispatches = await asyncio.to_thread(
+            entries, dispatches = await asyncio.to_thread(
                 self._execute_and_store, [p.cell for p in batch],
                 [p.key for p in batch])
         except Exception as exc:                      # defensive: whole batch
-            outcomes, dispatches = [exc] * len(batch), 0
+            entries, dispatches = [exc] * len(batch), 0
         self.dispatches += dispatches
-        for pending, outcome in zip(batch, outcomes):
-            if isinstance(outcome, Exception):
+        for pending, entry in zip(batch, entries):
+            if isinstance(entry, Exception):
                 self.errors += 1
                 if not pending.future.done():
-                    pending.future.set_exception(outcome)
+                    pending.future.set_exception(entry)
                 continue
             self.cells_executed += 1
-            entry = CachedResult(key=pending.key, result=outcome.result,
-                                 elapsed_seconds=outcome.elapsed_seconds)
             if pending.key is not None:
                 self.lru.put(entry)
             if not pending.future.done():
@@ -240,27 +238,30 @@ class EvaluationService:
 
     def _execute_and_store(self, cells: List[BatchCell],
                            keys: List[Optional[str]]):
-        """Worker-thread body: one fan-out, then persist the cacheable cells.
+        """Worker-thread body: one executor call, then persist the cacheable
+        cells (off the event loop, under the store's per-shard index locks)
+        under their :meth:`StudySpec.store_identity`.
 
-        Store writes happen here — off the event loop, under the store's
-        per-shard index locks — using the *canonical* cell identity, so the
-        service writes byte-identical records under byte-identical keys to
-        what a direct store-attached ``evaluate`` call writes.
+        Returns ``(entries, dispatches)``, one :class:`CachedResult` or
+        exception per cell.
         """
         outcomes, dispatches = execute_cells(self.backend, cells)
-        if self.store is not None:
-            described = self.backend.describe()
-            for cell, key, outcome in zip(cells, keys, outcomes):
-                if key is None or not isinstance(outcome, ExecutedCell):
-                    continue
-                reps = cell.spec.effective_reps() \
-                    if get_evaluator(cell.method).stochastic else None
-                self.store.put(EVALUATE_SCENARIO_NAME,
-                               cell.spec.cell_params(cell.method),
-                               cell.spec.seed, reps, backend=described,
-                               elapsed_seconds=outcome.elapsed_seconds,
-                               result=outcome.result)
-        return outcomes, dispatches
+        described = self.backend.describe()
+        entries: List[Union[CachedResult, Exception]] = []
+        for cell, key, outcome in zip(cells, keys, outcomes):
+            if isinstance(outcome, Exception):
+                entries.append(outcome)
+                continue
+            entry = CachedResult(
+                key=key, result=outcome.evaluation.to_experiment_result(),
+                elapsed_seconds=outcome.elapsed_seconds)
+            if key is not None and self.store is not None:
+                self.store.put(*cell.spec.store_identity(cell.method),
+                               backend=described,
+                               elapsed_seconds=entry.elapsed_seconds,
+                               result=entry.result)
+            entries.append(entry)
+        return entries, dispatches
 
     # ------------------------------------------------------------- lifecycle
     async def drain(self) -> None:

@@ -1,14 +1,8 @@
 """The discrete-event simulation kernel.
 
 A :class:`SimulationEngine` owns a virtual clock and a binary-heap event queue.
-Work is expressed either as plain callbacks (:meth:`SimulationEngine.schedule`) or
-as generator-based processes (:meth:`SimulationEngine.launch`) that ``yield``
-*waitables*:
-
-* :class:`Timeout` — resume after a virtual-time delay;
-* :class:`SimEvent` — resume when another party calls :meth:`SimEvent.succeed`
-  (or fail with :meth:`SimEvent.fail`);
-* another :class:`~repro.sim.process.SimProcess` — resume when it terminates.
+Work is expressed as plain callbacks (:meth:`SimulationEngine.schedule`), each
+of which may schedule further callbacks.
 
 The kernel is single-threaded and deterministic: events at equal times fire in the
 order they were scheduled.
@@ -20,90 +14,7 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["SimulationEngine", "Timeout", "SimEvent", "ProcessExit", "ScheduledCall"]
-
-
-class ProcessExit(Exception):
-    """Raised inside a process generator to terminate it early with a value."""
-
-    def __init__(self, value: Any = None) -> None:
-        super().__init__(value)
-        self.value = value
-
-
-class SimEvent:
-    """A one-shot triggerable event processes can wait on.
-
-    Waiters registered via :meth:`wait` are resumed (in registration order) when the
-    event is triggered.  Triggering twice is an error; waiting on an already
-    triggered event resumes immediately.
-    """
-
-    __slots__ = ("engine", "_callbacks", "_triggered", "_value", "_failed", "name")
-
-    def __init__(self, engine: "SimulationEngine", name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._callbacks: List[Callable[[Any, Optional[BaseException]], None]] = []
-        self._triggered = False
-        self._failed: Optional[BaseException] = None
-        self._value: Any = None
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def succeed(self, value: Any = None) -> "SimEvent":
-        """Trigger the event successfully, resuming every waiter."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name or id(self)} already triggered")
-        self._triggered = True
-        self._value = value
-        for callback in self._callbacks:
-            self.engine.schedule(0.0, callback, value, None)
-        self._callbacks.clear()
-        return self
-
-    def fail(self, exception: BaseException) -> "SimEvent":
-        """Trigger the event as a failure; waiters receive the exception."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name or id(self)} already triggered")
-        self._triggered = True
-        self._failed = exception
-        for callback in self._callbacks:
-            self.engine.schedule(0.0, callback, None, exception)
-        self._callbacks.clear()
-        return self
-
-    def wait(self, callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        """Register *callback(value, exception)*; called when the event triggers."""
-        if self._triggered:
-            self.engine.schedule(0.0, callback, self._value, self._failed)
-        else:
-            self._callbacks.append(callback)
-
-    # The waitable protocol used by SimProcess.
-    def _subscribe(self, callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        self.wait(callback)
-
-
-class Timeout:
-    """Waitable that fires after a fixed virtual-time delay."""
-
-    __slots__ = ("delay", "value")
-
-    def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0.0:
-            raise ValueError("timeout delay must be non-negative")
-        self.delay = float(delay)
-        self.value = value
-
-    def _subscribe(self, callback, *, engine: "SimulationEngine") -> "ScheduledCall":
-        return engine.schedule(self.delay, callback, self.value, None)
+__all__ = ["SimulationEngine", "ScheduledCall"]
 
 
 class ScheduledCall:
@@ -189,16 +100,6 @@ class SimulationEngine:
         handle = ScheduledCall(time, next(self._seq))
         heapq.heappush(self._queue, (time, handle.seq, handle, callback, args))
         return handle
-
-    def event(self, name: str = "") -> SimEvent:
-        """Create a fresh :class:`SimEvent` bound to this engine."""
-        return SimEvent(self, name=name)
-
-    def launch(self, generator, name: str = ""):
-        """Start a generator-based process; returns the :class:`SimProcess`."""
-        from repro.sim.process import SimProcess
-
-        return SimProcess(self, generator, name=name)
 
     # ------------------------------------------------------------------ running
     def step(self) -> bool:

@@ -1,50 +1,10 @@
-"""Unit tests for fault injection and contamination propagation."""
+"""Unit tests for contamination propagation."""
 
 import pytest
 
 from repro.core.history import HistoryDiagram
 from repro.core.types import CheckpointKind
-from repro.faults.injector import FaultEvent, FaultInjector
 from repro.faults.propagation import contaminated_checkpoints, contamination_at
-
-
-class TestFaultInjector:
-    def test_timeline_is_sorted_and_bounded(self):
-        injector = FaultInjector([0.5, 1.0], seed=1)
-        events = injector.timeline(50.0)
-        assert all(e.time < 50.0 for e in events)
-        assert all(a.time <= b.time for a, b in zip(events, events[1:]))
-
-    def test_rate_zero_process_never_fails(self):
-        injector = FaultInjector([0.0, 2.0], seed=2)
-        assert all(e.process == 1 for e in injector.timeline(100.0))
-
-    def test_expected_count_matches_empirical(self):
-        injector = FaultInjector([0.2, 0.3], seed=3)
-        horizon = 400.0
-        count = len(injector.timeline(horizon))
-        assert count == pytest.approx(injector.expected_fault_count(horizon), rel=0.2)
-
-    def test_first_fault(self):
-        injector = FaultInjector([1.0], seed=4)
-        first = injector.first_fault(100.0)
-        assert first is not None and first.process == 0
-        assert FaultInjector([1e-9], seed=5).first_fault(0.001) is None
-
-    def test_reproducible(self):
-        a = FaultInjector([1.0, 1.0], seed=9).timeline(20.0)
-        b = FaultInjector([1.0, 1.0], seed=9).timeline(20.0)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultInjector([])
-        with pytest.raises(ValueError):
-            FaultInjector([-1.0])
-        with pytest.raises(ValueError):
-            FaultEvent(time=-1.0, process=0)
-        with pytest.raises(ValueError):
-            FaultInjector([1.0]).timeline(0.0)
 
 
 @pytest.fixture

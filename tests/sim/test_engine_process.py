@@ -1,9 +1,8 @@
-"""Unit tests for the discrete-event kernel and generator processes."""
+"""Unit tests for the discrete-event kernel."""
 
 import pytest
 
-from repro.sim.engine import SimulationEngine, Timeout
-from repro.sim.process import Interrupt, SimProcess
+from repro.sim.engine import SimulationEngine
 
 
 class TestEngineBasics:
@@ -79,141 +78,3 @@ class TestEngineBasics:
             engine.schedule(1.0, lambda: None)
         engine.run(max_events=3)
         assert engine.processed_events == 3
-
-
-class TestSimEvent:
-    def test_succeed_resumes_waiters(self):
-        engine = SimulationEngine()
-        event = engine.event("go")
-        results = []
-        event.wait(lambda value, exc: results.append(value))
-        event.succeed(42)
-        engine.drain()
-        assert results == [42]
-
-    def test_double_trigger_rejected(self):
-        engine = SimulationEngine()
-        event = engine.event()
-        event.succeed()
-        with pytest.raises(RuntimeError):
-            event.succeed()
-
-    def test_wait_after_trigger_fires_immediately(self):
-        engine = SimulationEngine()
-        event = engine.event()
-        event.succeed("done")
-        got = []
-        event.wait(lambda value, exc: got.append(value))
-        engine.drain()
-        assert got == ["done"]
-
-
-class TestSimProcess:
-    def test_timeout_sequencing(self):
-        engine = SimulationEngine()
-        trace = []
-
-        def proc():
-            trace.append(engine.now)
-            yield Timeout(1.5)
-            trace.append(engine.now)
-            yield Timeout(0.5)
-            trace.append(engine.now)
-            return "done"
-
-        process = engine.launch(proc(), name="walker")
-        engine.drain()
-        assert trace == [0.0, 1.5, 2.0]
-        assert process.finished and process.result == "done"
-
-    def test_process_join(self):
-        engine = SimulationEngine()
-
-        def child():
-            yield Timeout(2.0)
-            return 7
-
-        def parent():
-            value = yield engine.launch(child())
-            return value + 1
-
-        parent_proc = engine.launch(parent())
-        engine.drain()
-        assert parent_proc.result == 8
-
-    def test_event_wait_inside_process(self):
-        engine = SimulationEngine()
-        gate = engine.event("gate")
-
-        def waiter():
-            value = yield gate
-            return value
-
-        def opener():
-            yield Timeout(3.0)
-            gate.succeed("open")
-
-        w = engine.launch(waiter())
-        engine.launch(opener())
-        engine.drain()
-        assert w.result == "open"
-        assert engine.now == 3.0
-
-    def test_yielding_garbage_fails_process(self):
-        engine = SimulationEngine()
-
-        def bad():
-            yield 42
-
-        process = engine.launch(bad())
-        engine.drain()
-        assert process.failed
-
-    def test_exception_propagates_to_result(self):
-        engine = SimulationEngine()
-
-        def boom():
-            yield Timeout(1.0)
-            raise RuntimeError("kaboom")
-
-        process = engine.launch(boom())
-        engine.drain()
-        assert process.failed
-        with pytest.raises(RuntimeError):
-            _ = process.result
-
-    def test_interrupt_wakes_waiting_process(self):
-        engine = SimulationEngine()
-        log = []
-
-        def sleeper():
-            try:
-                yield Timeout(100.0)
-                log.append("slept")
-            except Interrupt as interrupt:
-                log.append(f"interrupted:{interrupt.cause}")
-            yield Timeout(1.0)
-            return "after"
-
-        process = engine.launch(sleeper())
-        engine.schedule(2.0, process.interrupt, "rollback")
-        engine.drain()
-        assert log == ["interrupted:rollback"]
-        assert process.result == "after"
-        # The stale 100-unit timeout must not have dragged the clock out.
-        assert engine.now == pytest.approx(3.0)
-
-    def test_launch_requires_generator(self):
-        engine = SimulationEngine()
-        with pytest.raises(TypeError):
-            SimProcess(engine, lambda: None)   # not a generator
-
-    def test_result_before_finish_raises(self):
-        engine = SimulationEngine()
-
-        def proc():
-            yield Timeout(1.0)
-
-        process = engine.launch(proc())
-        with pytest.raises(RuntimeError):
-            _ = process.result
