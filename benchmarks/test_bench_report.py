@@ -13,7 +13,8 @@ import time
 import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.report import ResultStore, generate_report
+from repro.report import ResultStore
+from repro.report.pipeline import generate_report
 from repro.runner import ExperimentRunner
 
 

@@ -1,11 +1,35 @@
-"""Setup shim.
+"""Packaging for ``repro``: ``pip install .`` from the repository root.
 
-All project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works in offline environments whose setuptools lacks the
-``wheel`` package required by the PEP 660 editable-install path (pip then falls
-back to the legacy ``setup.py develop`` route).
+The package lives under ``src/`` and its version has one source,
+``src/repro/_version.py``, which this script reads without importing the
+package (an install must not need numpy before it has installed it).
 """
 
-from setuptools import setup
+import os
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def read_version() -> str:
+    path = os.path.join(HERE, "src", "repro", "_version.py")
+    with open(path, encoding="utf-8") as handle:
+        match = re.search(r'^__version__ = "([^"]+)"$', handle.read(), re.M)
+    if match is None:
+        raise RuntimeError(f"no __version__ in {path}")
+    return match.group(1)
+
+
+setup(
+    name="repro",
+    version=read_version(),
+    description="Reproduction of Shin & Lee (1983), Analysis of Backward "
+                "Error Recovery for Concurrent Processes with Recovery Blocks",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    # numpy.trapezoid is numpy 2 API.
+    install_requires=["numpy>=2.0", "scipy"],
+)

@@ -31,6 +31,13 @@ The package provides:
   backend fan-out, and a keyspace-sharded store — ``python -m repro serve``
   (:mod:`repro.service`).
 
+``import repro`` loads the evaluation path only: the names below, numpy and
+``scipy.sparse``/``scipy.linalg``.  The service, the report pipeline, the
+warehouse, the scenario modules and the executable runtimes are imported
+from their own modules (``from repro.service import EvaluationService``,
+``from repro.report.pipeline import generate_report``) or load on first use;
+docs/ARCHITECTURE.md ("Import layering") lists what each command loads.
+
 Quickstart
 ----------
 >>> from repro import SystemParameters, RecoveryLineIntervalModel
@@ -49,6 +56,12 @@ Or, through the facade:
 >>> round(repro.evaluate(spec, method="analytic").mean, 3)
 2.5
 """
+
+from time import perf_counter as _perf_counter
+
+#: When ``import repro`` began; ``python -m repro eval --timing`` reports the
+#: imports up to the end of ``repro.__main__`` as its ``import`` row.
+_IMPORT_STARTED = _perf_counter()
 
 from repro._version import __version__
 from repro.api import Evaluation, StudyResult, StudySpec, SystemSpec, evaluate
@@ -70,7 +83,7 @@ from repro.markov import (
     RecoveryLineIntervalModel,
     SimplifiedChain,
 )
-from repro.report import ResultStore, ShardedResultStore, generate_report
+from repro.report import ResultStore, ShardedResultStore
 from repro.runner import (
     ExperimentRunner,
     ProcessPoolBackend,
@@ -81,7 +94,6 @@ from repro.runner import (
     run_scenario,
     scenario,
 )
-from repro.service import EvaluationService, ServiceClient
 
 __all__ = [
     "__version__",
@@ -104,16 +116,13 @@ __all__ = [
     "PhaseType",
     "RecoveryLineIntervalModel",
     "SimplifiedChain",
-    "EvaluationService",
     "ExperimentRunner",
     "ProcessPoolBackend",
     "ResultStore",
-    "ServiceClient",
     "ShardedResultStore",
     "RunRecord",
     "ScenarioSpec",
     "SerialBackend",
-    "generate_report",
     "list_scenarios",
     "run_scenario",
     "scenario",

@@ -151,6 +151,16 @@ class Evaluator:
     def validate(self, spec: StudySpec) -> None:
         """Reject *spec* early when this engine cannot serve it (no-op here)."""
 
+    def worker_modules(self, spec: StudySpec) -> Tuple[str, ...]:
+        """Modules :attr:`worker` imports on first use for *spec*'s tasks.
+
+        The executor imports them while planning, so pool workers, which
+        fork from the planning process, start with them loaded instead of
+        importing them once per pool.  Engines whose worker needs only what
+        this module already imports return nothing.
+        """
+        return ()
+
     def tasks(self, spec: StudySpec, ctx: ExecutionContext) -> List[object]:
         """Picklable work items for *spec*."""
         return [ExactTask(spec=spec, method=self.name)]
@@ -210,6 +220,14 @@ class AnalyticEvaluator(Evaluator):
                     f"{spec.system.failure_law!r} through a phase-type "
                     f"approximation that cannot compute {unservable}; "
                     "estimate them with method='mc' or 'des'")
+
+    def worker_modules(self, spec: StudySpec) -> Tuple[str, ...]:
+        if spec.system.kind == "strategy":
+            return ("repro.analysis.synchronized_loss",
+                    "repro.workloads.generators")
+        if spec.system.failure_law != "exponential":
+            return ("repro.markov.phfit",)
+        return ()
 
     def evaluate(self, spec: StudySpec,
                  ctx: Optional[ExecutionContext] = None) -> Evaluation:
@@ -345,6 +363,11 @@ class _StochasticEvaluator(Evaluator):
 
     validate = _check_metrics
 
+    def worker_modules(self, spec: StudySpec) -> Tuple[str, ...]:
+        # Weibull scales are mean / Gamma(1 + 1/shape).
+        return ("scipy.special",) if spec.system.failure_law == "weibull" \
+            else ()
+
     def tasks(self, spec: StudySpec, ctx: ExecutionContext) -> List[SampleTask]:
         """Fixed-size shards with driver-spawned seeds, in spawn order.
 
@@ -416,6 +439,10 @@ class DiscreteEventEvaluator(_StochasticEvaluator):
 
     name = "des"
     backend_label = "des-engine"
+
+    def worker_modules(self, spec: StudySpec) -> Tuple[str, ...]:
+        return ("repro.sim.interval_sampler",
+                *super().worker_modules(spec))
 
 
 _EVALUATORS: Dict[str, Evaluator] = {}

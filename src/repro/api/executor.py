@@ -14,7 +14,9 @@ and the service's batch flush.  The executor
    context gets its own ``ExecutionContext(seed=spec.seed,
    reps=spec.effective_reps())``; cells sharing a context (the experiments,
    the strategy engine's common random numbers) are planned together, in
-   cell order;
+   cell order.  Planning also imports each cell's
+   :meth:`~repro.api.evaluators.Evaluator.worker_modules`, so pool workers
+   fork with everything their tasks import already loaded;
 3. issues **one** ``backend.map`` per group;
 4. slices the outputs per cell and assembles each cell from its slice.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -116,6 +119,10 @@ def execute_cells(backend: ExecutionBackend, cells: Sequence[BatchCell]
                 with _phase("assembly"):
                     planned, bounds = evaluators[indices[0]].cell_tasks(
                         [cells[i].spec for i in indices], ctx)
+                    for i in indices:
+                        for module in evaluators[i].worker_modules(
+                                cells[i].spec):
+                            importlib.import_module(module)
             except Exception as exc:                # bad plan, not bad batch
                 for i in indices:
                     outcomes[i] = exc

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
-from repro.core.parameters import SystemParameters
+from repro.core.parameters import SystemParameters, heterogeneous_parameters
 from repro.report.store import canonical_params, store_key
 
 __all__ = [
@@ -215,7 +215,7 @@ def system_axes(kind: str) -> frozenset:
 
 #: Per-kind field tables: name -> coercion.  Every kind maps onto one of the
 #: existing :class:`SystemParameters` builders (or the heterogeneous family of
-#: :func:`repro.experiments.heterogeneous_sweep.heterogeneous_parameters`),
+#: :func:`repro.core.parameters.heterogeneous_parameters`),
 #: so a declared system is guaranteed to be *the same* system every engine
 #: analyses.
 _SYSTEM_KINDS: Dict[str, Dict[str, str]] = {
@@ -397,7 +397,6 @@ class SystemSpec:
             from repro.workloads.generators import paper_figure6_case
             return paper_figure6_case(args["case"])
         # heterogeneous
-        from repro.experiments.heterogeneous_sweep import heterogeneous_parameters
         return heterogeneous_parameters(args["n"], mu_base=args["mu_base"],
                                         mu_gradient=args["mu_gradient"],
                                         lam_base=args["lam_base"],

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +47,10 @@ from repro.api.evaluation import Evaluation
 from repro.api.evaluators import (Evaluator, UnsupportedMetricError,
                                   register_evaluator)
 from repro.api.spec import StudySpec, SystemSpec
-from repro.recovery.report import RunReport
 from repro.runner import ExecutionContext, seed_to_int
+
+if TYPE_CHECKING:   # the runtimes load on the first strategy plan
+    from repro.recovery.report import RunReport
 
 __all__ = [
     "ANALYTIC_STRATEGY_METRICS",
@@ -159,6 +161,12 @@ class StrategyEvaluator(Evaluator):
                 "the synchronized scheme); no single engine serves a mix of "
                 "measured and closed-form-only metrics — split them into two "
                 "specs on the same system")
+
+    def worker_modules(self, spec: StudySpec) -> Tuple[str, ...]:
+        # The runtimes; Weibull fault scales also need scipy.special.
+        return ("repro.recovery",
+                *(("scipy.special",) if spec.system.failure_law == "weibull"
+                  else ()))
 
     # ------------------------------------------------------------------ tasks
     @staticmethod

@@ -174,6 +174,13 @@ class PhaseTimer:
         self.counts: Dict[str, int] = {}
         self._started = time.perf_counter()
 
+    def add(self, name: str, seconds: float) -> None:
+        """Record a phase that ran before the collector started (the CLI's
+        imports); it lengthens the total by *seconds*."""
+        self.totals[name] = self.totals.get(name, 0.0) + seconds
+        self.counts[name] = self.counts.get(name, 0) + 1
+        self._started -= seconds
+
     @contextlib.contextmanager
     def phase(self, name: str):
         start = time.perf_counter()

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.util.validation import as_float_array, check_positive, check_symmetric_rates
 
-__all__ = ["SystemParameters"]
+__all__ = ["SystemParameters", "heterogeneous_parameters"]
 
 
 @dataclass(frozen=True)
@@ -174,3 +174,31 @@ class SystemParameters:
         pairs = ", ".join(f"λ_{i + 1}{j + 1}={self.lam[i, j]:g}"
                           for i, j in self.pairs)
         return f"n={self.n}; μ=({mu}); {pairs if pairs else 'no interactions'}; ρ={self.rho:.3f}"
+
+
+def heterogeneous_parameters(n: int, *, mu_base: float = 1.0,
+                             mu_gradient: float = 1.0,
+                             lam_base: float = 0.5,
+                             locality: float = 1.0) -> SystemParameters:
+    """Build the non-exchangeable parameter family of the ``heterogeneous``
+    system kind and the ``heterogeneous_sweep`` scenario.
+
+    ``μ_i`` ramps geometrically from ``mu_base`` (process 0) to
+    ``mu_base · mu_gradient`` (process n−1); ``λ_ij = lam_base / (1 +
+    locality·|i−j|)`` decays with process distance (a line-topology locality
+    model).  ``mu_gradient = 1`` and ``locality = 0`` recover the symmetric
+    system, which is the cross-check used in tests.
+    """
+    if n < 1:
+        raise ValueError("need at least one process")
+    if mu_gradient <= 0.0:
+        raise ValueError("mu_gradient must be strictly positive")
+    if locality < 0.0:
+        raise ValueError("locality must be non-negative")
+    exponents = np.arange(n) / max(n - 1, 1)
+    mu = mu_base * np.power(mu_gradient, exponents)
+    idx = np.arange(n)
+    distance = np.abs(idx[:, None] - idx[None, :])
+    lam = lam_base / (1.0 + locality * distance)
+    np.fill_diagonal(lam, 0.0)
+    return SystemParameters(mu=mu, lam=lam)

@@ -6,10 +6,14 @@ Monte-Carlo values side by side), so that running the benchmark suite doubles as
 regenerating the artefacts.  See DESIGN.md §3 for the experiment index.
 
 Every module registers its entry point with the scenario registry
-(:mod:`repro.runner`): importing this package populates the registry, after
-which ``python -m repro list`` / ``python -m repro run <name>`` (or
+(:mod:`repro.runner`) when it is imported.  Importing this package loads only
+:mod:`~repro.experiments.common` (the result types every engine returns);
+:func:`repro.runner.load_builtin_scenarios` owns the list of scenario modules
+and imports them on the first registry lookup, after which
+``python -m repro list`` / ``python -m repro run <name>`` (or
 :func:`repro.runner.run_scenario`) run any experiment, serially or across a
-process pool.  The ``run_*`` functions remain as thin compatibility wrappers.
+process pool.  The ``run_*`` compatibility wrappers live in their modules
+(``from repro.experiments.table1 import run_table1``).
 
 Scenarios whose output *is* a paper artifact additionally declare a renderer
 (``@scenario(..., renderer="figure5")``); ``python -m repro report`` routes
@@ -18,34 +22,5 @@ plus a provenance-stamped ``REPORT.md``.
 """
 
 from repro.experiments.common import ExperimentResult, ExperimentRow
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure5_full_chain import run_figure5_full_chain
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.heterogeneous_sweep import (heterogeneous_parameters,
-                                                   run_heterogeneous_sweep)
-from repro.experiments.table1 import run_table1
-from repro.experiments.sync_loss import run_sync_loss, run_sync_loss_validation
-from repro.experiments.prp_costs import run_prp_costs
-from repro.experiments.validation import run_validation
-from repro.experiments.ablation import run_detector_ablation, run_solver_ablation
-from repro.experiments.strategy_comparison import run_strategy_comparison
-from repro.experiments.cascading_faults import run_cascading_faults
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentRow",
-    "heterogeneous_parameters",
-    "run_figure5",
-    "run_figure5_full_chain",
-    "run_figure6",
-    "run_heterogeneous_sweep",
-    "run_table1",
-    "run_sync_loss",
-    "run_sync_loss_validation",
-    "run_prp_costs",
-    "run_validation",
-    "run_detector_ablation",
-    "run_solver_ablation",
-    "run_strategy_comparison",
-    "run_cascading_faults",
-]
+__all__ = ["ExperimentResult", "ExperimentRow"]

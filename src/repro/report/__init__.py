@@ -35,54 +35,28 @@ it with ``python -m repro query``).
     run missing cells through the store, render declared artifacts, emit
     the report.
 
+Importing the package loads the two stores only; the reporting modules
+(``figures``, ``svg``, ``markdown``, ``pipeline``) load when imported by
+name, so a process that evaluates and stores cells never imports them.
+
 Quickstart
 ----------
->>> from repro.report import generate_report
+>>> from repro.report.pipeline import generate_report
 >>> summary = generate_report(["table1"], out_dir="reports")  # doctest: +SKIP
 >>> summary.report_path                                       # doctest: +SKIP
 'reports/REPORT.md'
 """
 
-from repro.report.figures import (
-    Artifact,
-    figure_backend,
-    register_renderer,
-    render_artifacts,
-    renderer_names,
-)
-from repro.report.markdown import (
-    ReportSection,
-    render_report,
-    report_provenance,
-    result_to_markdown_table,
-)
-from repro.report.pipeline import (
-    ReportSummary,
-    default_scenario_order,
-    generate_report,
-)
 from repro.report.sharded import ShardedResultStore, shard_of_key
 from repro.report.store import (FileLock, ResultStore, StoreRecord,
                                 canonical_params, store_key)
 
 __all__ = [
-    "Artifact",
     "FileLock",
-    "ReportSection",
-    "ReportSummary",
     "ResultStore",
     "ShardedResultStore",
     "StoreRecord",
     "canonical_params",
-    "default_scenario_order",
-    "figure_backend",
-    "generate_report",
-    "register_renderer",
-    "render_artifacts",
-    "render_report",
-    "renderer_names",
-    "report_provenance",
-    "result_to_markdown_table",
     "shard_of_key",
     "store_key",
 ]

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.runner import ExperimentRunner, list_scenarios, load_builtin_scenarios
+from repro.runner import ExperimentRunner, get_scenario, list_scenarios
 from repro.runner.backends import ExecutionBackend
 from repro.report.figures import render_artifacts
 from repro.report.markdown import (ReportSection, render_report,
@@ -100,7 +100,6 @@ def generate_report(scenarios: Optional[Sequence[str]] = None, *,
     digits:
         Significant digits in the report's markdown tables.
     """
-    load_builtin_scenarios()
     known = [spec.name for spec in list_scenarios()]
     if scenarios is None:
         names = default_scenario_order(known)
@@ -109,7 +108,6 @@ def generate_report(scenarios: Optional[Sequence[str]] = None, *,
         # Internal scenarios (the facade's 'evaluate') need caller-supplied
         # parameters and have no renderable default — refuse them up front
         # instead of crashing after the other sections computed.
-        from repro.runner import get_scenario
         internal = [name for name in names
                     if name not in known and get_scenario(name).internal]
         if internal:

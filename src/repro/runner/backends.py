@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ProcessPoolBackend", "make_backend"]
@@ -90,6 +89,10 @@ class ProcessPoolBackend(ExecutionBackend):
         chunksize = self.chunksize
         if chunksize is None:
             chunksize = max(1, -(-len(tasks) // (4 * workers)))
+        # Imported here: it loads multiprocessing, which a serial process
+        # never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, tasks, chunksize=chunksize))
 

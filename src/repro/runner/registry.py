@@ -12,14 +12,21 @@ CLI can override them.  Registration is decorator based::
 Names are unique: registering two scenarios under the same name raises
 :class:`DuplicateScenarioError` (re-registering the *same* function is a no-op
 so module reloads stay harmless).
+
+The built-in scenarios register when their modules are imported, and
+:func:`load_builtin_scenarios` is the one place that imports them.  The
+lookups (:func:`get_scenario`, :func:`list_scenarios`) call it first, so no
+caller depends on some earlier import having registered them.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
+    "BUILTIN_SCENARIO_MODULES",
     "DuplicateScenarioError",
     "ScenarioSpec",
     "get_scenario",
@@ -84,6 +91,24 @@ class ScenarioSpec:
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
 
+#: The modules whose import registers the built-in scenarios: the paper
+#: artefacts of :mod:`repro.experiments`, and :mod:`repro.api.facade` (the
+#: facade's internal ``evaluate`` scenario).
+BUILTIN_SCENARIO_MODULES = (
+    "repro.experiments.ablation",
+    "repro.experiments.cascading_faults",
+    "repro.experiments.figure5",
+    "repro.experiments.figure5_full_chain",
+    "repro.experiments.figure6",
+    "repro.experiments.heterogeneous_sweep",
+    "repro.experiments.prp_costs",
+    "repro.experiments.strategy_comparison",
+    "repro.experiments.sync_loss",
+    "repro.experiments.table1",
+    "repro.experiments.validation",
+    "repro.api.facade",
+)
+
 
 def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """Add *spec* to the global registry; duplicate names are an error."""
@@ -129,6 +154,7 @@ def scenario(name: str, *, description: str = "", paper_reference: str = "",
 
 def get_scenario(name: str) -> ScenarioSpec:
     """Look up a registered scenario; ``KeyError`` names the known scenarios."""
+    load_builtin_scenarios()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -144,6 +170,7 @@ def list_scenarios(include_internal: bool = False) -> List[ScenarioSpec]:
     consumers (``list``, ``report --all``) never invoke a scenario that
     needs caller-supplied parameters.
     """
+    load_builtin_scenarios()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)
             if include_internal or not _REGISTRY[name].internal]
 
@@ -154,13 +181,13 @@ def unregister_scenario(name: str) -> None:
 
 
 def load_builtin_scenarios() -> None:
-    """Import every module that registers built-in scenarios.
+    """Import every module of :data:`BUILTIN_SCENARIO_MODULES`.
 
-    Covers :mod:`repro.experiments` (the paper artefacts) and
-    :mod:`repro.api` (the facade's internal ``evaluate`` scenario).
-    Idempotent: the imports are cached, and re-registration of the same
-    functions is a no-op.  Kept lazy (a function, not a module-level import)
-    so that ``repro.runner`` itself never depends on the experiment layer.
+    Idempotent and cheap after the first call: the imports are cached, and
+    re-registration of the same functions is a no-op.  Kept lazy (a
+    function, not a module-level import) so that ``repro.runner`` itself
+    never depends on the experiment layer, and a process that evaluates
+    specs without naming a scenario never loads it.
     """
-    import repro.experiments  # noqa: F401  (import side effect registers scenarios)
-    import repro.api          # noqa: F401  (registers the 'evaluate' scenario)
+    for name in BUILTIN_SCENARIO_MODULES:
+        importlib.import_module(name)

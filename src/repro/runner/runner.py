@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar, U
 import numpy as np
 
 from repro.runner.backends import ExecutionBackend, SerialBackend, make_backend
-from repro.runner.registry import ScenarioSpec, get_scenario, load_builtin_scenarios
+from repro.runner.registry import ScenarioSpec, get_scenario
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -201,7 +201,6 @@ class ExperimentRunner:
     def _resolve(self, name_or_spec: Union[str, ScenarioSpec]) -> ScenarioSpec:
         if isinstance(name_or_spec, ScenarioSpec):
             return name_or_spec
-        load_builtin_scenarios()
         return get_scenario(name_or_spec)
 
     def run_record(self, name_or_spec: Union[str, ScenarioSpec], *,

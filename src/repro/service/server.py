@@ -17,7 +17,8 @@ The wire protocol is deliberately tiny — three routes, JSON bodies,
     (:meth:`Evaluation.to_experiment_result` encoding), the store key, the
     serving layer (``lru`` / ``store`` / ``inflight`` / ``computed``) and
     the elapsed compute seconds.  Spec errors return 400, engine errors
-    500 — both as ``{"ok": false, "error": ...}``.
+    500 — both as ``{"ok": false, "error": ...}``.  A malformed
+    ``Content-Length`` returns 400 and closes the connection.
 
 Because every connection funnels into one shared
 :class:`~repro.service.session.EvaluationService`, concurrent clients get
@@ -58,6 +59,11 @@ class _PayloadTooLarge(Exception):
     def __init__(self, declared: int) -> None:
         super().__init__(f"declared body of {declared} bytes")
         self.declared = declared
+
+
+class _BadRequest(Exception):
+    """A request whose framing cannot be parsed; answered with a 400 and a
+    closed connection, since the stream position is no longer known."""
 
 
 def _encode_outcome(outcome: SubmitOutcome) -> Dict[str, object]:
@@ -131,6 +137,12 @@ class EvaluationServer:
                                   f"exceeds the {MAX_BODY_BYTES}-byte limit"},
                         keep_alive=False)
                     break
+                except _BadRequest as exc:
+                    self.requests += 1
+                    await self._respond(writer, 400,
+                                        {"ok": False, "error": str(exc)},
+                                        keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -172,7 +184,10 @@ class EvaluationServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest(f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _PayloadTooLarge(length)
         body = await reader.readexactly(length) if length else b""

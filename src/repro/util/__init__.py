@@ -1,8 +1,13 @@
-"""Shared utilities: validation, numerical integration, linear algebra, statistics.
+"""Shared utilities: validation, linear algebra, statistics, tables.
 
 These helpers are deliberately dependency-light (numpy/scipy only) and are used by
 every other sub-package.  Nothing in :mod:`repro.util` knows about recovery blocks;
 it is pure plumbing.
+
+Importing the package loads numpy and ``scipy.sparse``/``scipy.linalg``
+(through :mod:`~repro.util.linalg`), nothing heavier.  The quadrature helpers
+of :mod:`repro.util.integration` are not re-exported here: import them from
+that module, which loads :mod:`scipy.integrate` only when one is called.
 """
 
 from repro.util.validation import (
@@ -12,11 +17,6 @@ from repro.util.validation import (
     check_rate_matrix,
     check_symmetric_rates,
     require,
-)
-from repro.util.integration import (
-    adaptive_quad,
-    trapezoid_cumulative,
-    tail_integral,
 )
 from repro.util.linalg import (
     is_generator_matrix,
@@ -42,9 +42,6 @@ __all__ = [
     "check_rate_matrix",
     "check_symmetric_rates",
     "require",
-    "adaptive_quad",
-    "trapezoid_cumulative",
-    "tail_integral",
     "is_generator_matrix",
     "embed_dtmc",
     "solve_linear",

@@ -26,6 +26,7 @@ def test_analytic_cell_phases(tmp_path, capsys):
                     "--store", str(tmp_path / "store"))
     assert {"spec-resolve", "store", "assembly", "solve", "reduce",
             "other", "total"} <= rows
+    assert "import" in rows
 
 
 def test_mc_cell_phases(tmp_path, capsys):

@@ -234,7 +234,7 @@ class TestEvaluateScenarioRegistration:
         assert "evaluate" not in names
 
     def test_report_rejects_it_explicitly(self, tmp_path):
-        from repro.report import generate_report
+        from repro.report.pipeline import generate_report
         with pytest.raises(ValueError, match="internal"):
             generate_report(["evaluate"], out_dir=str(tmp_path))
 

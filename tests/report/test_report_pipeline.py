@@ -7,9 +7,10 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments.common import ExperimentResult
-from repro.report import (ResultStore, figure_backend, generate_report,
-                          render_artifacts, result_to_markdown_table)
-from repro.report.pipeline import default_scenario_order
+from repro.report import ResultStore
+from repro.report.figures import figure_backend, render_artifacts
+from repro.report.markdown import result_to_markdown_table
+from repro.report.pipeline import default_scenario_order, generate_report
 from repro.report.svg import ChartSeries, LineChart, render_line_chart_svg
 from repro.runner import (ExperimentRunner, ScenarioSpec, register_scenario,
                           run_scenario, unregister_scenario)

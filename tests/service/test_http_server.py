@@ -181,6 +181,36 @@ class TestOversizedBody:
         assert health == {"status": "ok", "service": "repro"}
 
 
+class TestMalformedContentLength:
+    # Regression: a Content-Length that is not a decimal byte count raised
+    # ValueError out of int() ("abc") or readexactly() ("-1") inside
+    # _read_request; the handler died with the error unhandled and the
+    # connection dropped without any response.
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_gets_a_400_and_a_closed_connection(self, declared):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            writer.write((f"POST /v1/evaluate HTTP/1.1\r\n"
+                          f"Host: 127.0.0.1:{server.port}\r\n"
+                          f"Content-Length: {declared}\r\n"
+                          "\r\n{}").encode("latin-1"))
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        response = _run_with_server(scenario)
+        head, _, raw = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"Connection: close" in head
+        payload = json.loads(raw.decode("utf-8"))
+        assert payload["ok"] is False
+        assert "Content-Length" in payload["error"]
+
+
 class TestClientConnectionHandling:
     # Regression: the client never read the response's Connection header and
     # only reconnected on is_closing(), so the request after a server
